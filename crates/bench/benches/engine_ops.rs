@@ -67,6 +67,7 @@ fn bench_couch(g: &mut Group) {
                 for k in 0..200u64 {
                     s.save(k, black_box(&[2u8; 1000])).unwrap();
                 }
+                s // dropped outside the timed region
             },
         );
     }

@@ -71,7 +71,10 @@ fn bench_share(g: &mut Group) {
                     (0..batch as u64).map(|i| SharePair::new(Lpn(i), Lpn(4096 + i))).collect();
                 (dev, pairs)
             },
-            |(mut dev, pairs)| dev.share(black_box(&pairs)).unwrap(),
+            |(mut dev, pairs)| {
+                dev.share(black_box(&pairs)).unwrap();
+                (dev, pairs) // dropped outside the timed region
+            },
         );
     }
 }
@@ -92,7 +95,8 @@ fn bench_gc_pressure(g: &mut Group) {
                     dev.write(Lpn((i * 31 + round) % cap), &img).unwrap();
                 }
             }
-            black_box(dev.stats().gc_events)
+            black_box(dev.stats().gc_events);
+            dev // dropped outside the timed region
         },
     );
 }

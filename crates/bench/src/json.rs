@@ -275,9 +275,8 @@ mod tests {
 
     #[test]
     fn record_scenario_merges_by_name() {
-        let dir = std::env::temp_dir().join(format!("share_json_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("bench.json");
+        let dir = TempDir::new("record_scenario_merges_by_name");
+        let file = dir.0.join("bench.json");
         std::env::set_var("SHARE_BENCH_JSON", &file);
 
         record_scenario("alpha", Json::obj(vec![("tps", num(1.0))])).unwrap();
@@ -322,6 +321,28 @@ mod tests {
         }
 
         std::env::remove_var("SHARE_BENCH_JSON");
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A per-test temp directory (pid + test name + process-wide
+    /// counter), removed when the guard drops — also on panic.
+    struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        fn new(test: &str) -> Self {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("share_json_{}_{test}_{n}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 }

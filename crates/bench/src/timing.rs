@@ -80,6 +80,9 @@ impl Group {
 
     /// Time `routine` over fresh state from `setup`; setup cost is excluded.
     /// Each sample is a single routine call (for heavyweight routines).
+    /// The routine's output is dropped after the clock stops, so a routine
+    /// that returns its state keeps that state's teardown out of the
+    /// sample.
     pub fn bench_batched<S, O>(
         &mut self,
         id: impl AsRef<str>,

@@ -2,11 +2,34 @@
 
 use sharectl::run;
 
-fn tmpdir() -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("sharectl-test-{}", std::process::id()));
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A per-test temp directory, removed again when the guard drops.
+/// Tests run on parallel threads of one process, so the name carries
+/// the test's name and a process-wide counter besides the pid.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmpdir(test: &str) -> TempDir {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let d = std::env::temp_dir().join(format!("sharectl-test-{}-{test}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
-    d
+    TempDir(d)
 }
 
 fn cmd(args: &[&str]) -> Result<String, String> {
@@ -15,7 +38,7 @@ fn cmd(args: &[&str]) -> Result<String, String> {
 
 #[test]
 fn create_write_share_read_cycle_persists() {
-    let dir = tmpdir();
+    let dir = tmpdir("create_write_share_read_cycle_persists");
     let img = dir.join("disk.nand");
     let img = img.to_str().unwrap();
 
@@ -40,7 +63,7 @@ fn create_write_share_read_cycle_persists() {
 
 #[test]
 fn replay_runs_a_text_trace() {
-    let dir = tmpdir();
+    let dir = tmpdir("replay_runs_a_text_trace");
     let img = dir.join("replay.nand");
     let img = img.to_str().unwrap();
     cmd(&["create", img, "16"]).unwrap();
@@ -67,7 +90,7 @@ fn bad_usage_is_reported() {
 
 #[test]
 fn create_refuses_to_overwrite() {
-    let dir = tmpdir();
+    let dir = tmpdir("create_refuses_to_overwrite");
     let img = dir.join("dup.nand");
     let img = img.to_str().unwrap();
     cmd(&["create", img, "16"]).unwrap();
@@ -99,7 +122,7 @@ fn crashsweep_replays_a_single_triple() {
 
 #[test]
 fn crashsweep_sweeps_a_trace_file() {
-    let dir = tmpdir();
+    let dir = tmpdir("crashsweep_sweeps_a_trace_file");
     let trace = dir.join("share.txt");
     std::fs::write(&trace, "W 0\nW 1\nF\nS 8 0 2\nF\n").unwrap();
     let out = cmd(&["crashsweep", "--trace", trace.to_str().unwrap(), "--stride", "1"]).unwrap();
@@ -109,7 +132,7 @@ fn crashsweep_sweeps_a_trace_file() {
 
 #[test]
 fn metrics_reports_a_replayed_trace_in_both_formats() {
-    let dir = tmpdir();
+    let dir = tmpdir("metrics_reports_a_replayed_trace_in_both_formats");
     let img = dir.join("metrics.nand");
     let img = img.to_str().unwrap();
     cmd(&["create", img, "16"]).unwrap();
@@ -145,7 +168,7 @@ fn metrics_reports_a_replayed_trace_in_both_formats() {
 
 #[test]
 fn metrics_works_without_a_trace_and_rejects_bad_formats() {
-    let dir = tmpdir();
+    let dir = tmpdir("metrics_works_without_a_trace_and_rejects_bad_formats");
     let img = dir.join("metrics2.nand");
     let img = img.to_str().unwrap();
     cmd(&["create", img, "16"]).unwrap();
@@ -168,7 +191,7 @@ fn crashsweep_rejects_bad_arguments() {
 
 #[test]
 fn trace_reports_wa_ledger_and_exports_chrome_json() {
-    let dir = tmpdir();
+    let dir = tmpdir("trace_reports_wa_ledger_and_exports_chrome_json");
     let img = dir.join("traced.nand");
     let img = img.to_str().unwrap();
     cmd(&["create", img, "16"]).unwrap();
@@ -206,7 +229,7 @@ fn trace_reports_wa_ledger_and_exports_chrome_json() {
 
 #[test]
 fn snapshot_create_clone_drop_ls_cycle_persists() {
-    let dir = tmpdir();
+    let dir = tmpdir("snapshot_create_clone_drop_ls_cycle_persists");
     let img = dir.join("snap.nand");
     let img = img.to_str().unwrap();
 
@@ -248,7 +271,7 @@ fn snapshot_create_clone_drop_ls_cycle_persists() {
 
 #[test]
 fn monitor_reports_epoch_series_in_both_formats() {
-    let dir = tmpdir();
+    let dir = tmpdir("monitor_reports_epoch_series_in_both_formats");
     let img = dir.join("monitored.nand");
     let img = img.to_str().unwrap();
     cmd(&["create", img, "16"]).unwrap();
@@ -295,7 +318,7 @@ fn monitor_reports_epoch_series_in_both_formats() {
 
 #[test]
 fn doctor_reports_health_and_exits_nonzero_on_critical() {
-    let dir = tmpdir();
+    let dir = tmpdir("doctor_reports_health_and_exits_nonzero_on_critical");
     let img = dir.join("doctored.nand");
     let img = img.to_str().unwrap();
     cmd(&["create", img, "16"]).unwrap();
@@ -327,7 +350,7 @@ fn doctor_reports_health_and_exits_nonzero_on_critical() {
 
 #[test]
 fn snapshot_rejects_bad_arguments() {
-    let dir = tmpdir();
+    let dir = tmpdir("snapshot_rejects_bad_arguments");
     let img = dir.join("snapbad.nand");
     let img = img.to_str().unwrap();
     cmd(&["create", img, "16"]).unwrap();

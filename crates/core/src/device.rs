@@ -400,27 +400,24 @@ impl BlockDevice for SimpleSsd {
         }
         self.stats.host_writes += 1;
         self.stats.host_write_bytes += data.len() as u64;
-        if let Some(mode) = self.fault.on_program() {
-            match mode {
-                FaultMode::TornHalf => {
-                    // Half the new content lands; the old tail remains —
-                    // an in-place torn write, unlike NAND's erased tail.
-                    let cut = data.len() / 2;
-                    let mut torn = match self.pages[lpn.0 as usize].take() {
-                        Some(old) => old.into_vec(),
-                        None => vec![0u8; data.len()],
-                    };
-                    torn[..cut].copy_from_slice(&data[..cut]);
-                    self.pages[lpn.0 as usize] = Some(torn.into_boxed_slice());
-                }
-                FaultMode::DroppedWrite => {}
-                FaultMode::AfterProgram => {
-                    self.pages[lpn.0 as usize] = Some(data.to_vec().into_boxed_slice());
-                }
-            }
+        // Writes land in place: a page that already has a buffer keeps
+        // it, so a steady-state log device allocates nothing per write.
+        let fault = self.fault.on_program();
+        let landed = match fault {
+            None | Some(FaultMode::AfterProgram) => data.len(),
+            // Half the new content lands; the old tail remains — an
+            // in-place torn write, unlike NAND's erased tail.
+            Some(FaultMode::TornHalf) => data.len() / 2,
+            Some(FaultMode::DroppedWrite) => 0,
+        };
+        if landed > 0 {
+            let page = &mut self.pages[lpn.0 as usize];
+            page.get_or_insert_with(|| vec![0u8; data.len()].into_boxed_slice())[..landed]
+                .copy_from_slice(&data[..landed]);
+        }
+        if fault.is_some() {
             return Err(FtlError::Nand(NandError::PowerLoss));
         }
-        self.pages[lpn.0 as usize] = Some(data.to_vec().into_boxed_slice());
         Ok(())
     }
 
@@ -524,6 +521,25 @@ mod tests {
         d.read(Lpn(0), &mut buf).unwrap();
         assert!(buf[..256].iter().all(|&b| b == 0x22));
         assert!(buf[256..].iter().all(|&b| b == 0x11), "old tail must survive a torn write");
+    }
+
+    #[test]
+    fn overwrites_reuse_the_page_buffer() {
+        let mut d = dev();
+        d.write(Lpn(2), &[0x11u8; 512]).unwrap();
+        let before = d.pages[2].as_ref().unwrap().as_ptr();
+        d.write(Lpn(2), &[0x22u8; 512]).unwrap();
+        assert_eq!(d.pages[2].as_ref().unwrap().as_ptr(), before, "overwrite must not reallocate");
+        let mut buf = [0u8; 512];
+        d.read(Lpn(2), &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0x22));
+        // A torn first write of a page keeps the unwritten (zero) tail.
+        d.fault_handle().arm_after_programs(1, FaultMode::TornHalf);
+        assert!(d.write(Lpn(5), &[0x33u8; 512]).is_err());
+        d.power_cycle();
+        d.read(Lpn(5), &mut buf).unwrap();
+        assert!(buf[..256].iter().all(|&b| b == 0x33));
+        assert!(buf[256..].iter().all(|&b| b == 0));
     }
 
     #[test]

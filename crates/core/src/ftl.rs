@@ -122,10 +122,6 @@ fn unit_labels(channels: u32, units: usize) -> Vec<String> {
 struct GcJob {
     /// Victim block, pool-relative.
     rel: u32,
-    /// Victim's lifetime class (survivors stay in it).
-    class: u8,
-    /// Victim's channel (survivors stay on it).
-    channel: u32,
     /// Candidate PPNs not yet examined, in reverse page order (popped
     /// from the back, so relocation proceeds in page order).
     pending: Vec<Ppn>,
@@ -771,55 +767,58 @@ impl Ftl {
     fn collect_victim(&mut self, rel: u32, valid: u32) -> Result<(), FtlError> {
         self.stats.gc_events += 1;
         let block = self.pool.abs(rel);
-        let ppb = self.cfg.geometry.pages_per_block;
-        // Survivors relocate with the victim's affinity: same lifetime
-        // class (NAND block tag; untagged pre-v3 blocks fall to the
-        // default class) and same channel, so relocated long-lived data
-        // never mixes into short-lived streams' blocks and copyback stays
-        // channel-local.
-        let tag = self.nand.block_tag(block);
-        let classes = self.pool.classes() as u32;
-        let class = if tag == UNTAGGED { CLASS_DEFAULT } else { tag.min(classes - 1) as u8 };
-        let channel = self.cfg.geometry.channel_of_block(block);
         if valid > 0 {
             // Relocation keeps both live-map referents and snapshot-pinned
             // pages (frozen data must survive the erase even when nothing
             // in the live map references it anymore).
-            let live: Vec<Ppn> = (0..ppb)
+            let live: Vec<Ppn> = (0..self.cfg.geometry.pages_per_block)
                 .map(|idx| self.cfg.geometry.ppn_at(block, idx))
                 .filter(|&ppn| self.map.is_live(ppn) || self.snaps.is_pinned(ppn))
                 .collect();
-            // All relocation reads go out as one batched submission (they
-            // come from one block, hence one unit, so this mostly amortizes
-            // the submission; the programs below batch across the GC lane).
-            let page_size = self.cfg.geometry.page_size;
-            let mut bufs = vec![vec![0u8; page_size]; live.len()];
-            let mut reads: Vec<(Ppn, &mut [u8])> =
-                live.iter().zip(bufs.iter_mut()).map(|(&p, b)| (p, b.as_mut_slice())).collect();
-            self.nand.read_batch(&mut reads)?;
-            let mut dests = Vec::with_capacity(live.len());
-            for _ in &live {
-                let dest = self.pool.alloc(&self.nand, WritePoint::Gc { class, channel })?;
-                self.nand.set_block_tag(self.cfg.geometry.block_of(dest), class as u32);
-                dests.push(dest);
-            }
-            let programs: Vec<(Ppn, &[u8])> =
-                dests.iter().zip(&bufs).map(|(&d, b)| (d, b.as_slice())).collect();
-            self.nand.program_batch(&programs)?;
-            for (&ppn, &dest) in live.iter().zip(&dests) {
-                self.relocate_mappings(ppn, dest)?;
-                self.stats.copyback_pages += 1;
-            }
-            // Blame the copybacks on the streams whose invalidations
-            // hollowed this block out (exact-sum apportionment).
-            let w = std::mem::take(&mut self.block_blame[rel as usize]);
-            self.settle_blame(BlameKind::Gc, live.len() as u64, &w);
-            self.block_blame[rel as usize] = w;
+            self.relocate(rel, &live)?;
         }
-        // The persisted mapping must stop referencing the victim before the
-        // victim's data disappears.
+        self.retire_victim(rel)
+    }
+
+    /// Copy victim `rel`'s `live` pages elsewhere with on-die copyback —
+    /// one batched sense, then destination allocation, then one batched
+    /// program — repoint their references and settle the copyback blame.
+    fn relocate(&mut self, rel: u32, live: &[Ppn]) -> Result<(), FtlError> {
+        // Survivors keep the victim's affinity: same lifetime class (NAND
+        // block tag; untagged pre-v3 blocks fall to the default class) and
+        // same channel, so relocated long-lived data never mixes into
+        // short-lived streams' blocks and copyback stays channel-local.
+        let block = self.pool.abs(rel);
+        let tag = self.nand.block_tag(block);
+        let classes = self.pool.classes() as u32;
+        let class = if tag == UNTAGGED { CLASS_DEFAULT } else { tag.min(classes - 1) as u8 };
+        let channel = self.cfg.geometry.channel_of_block(block);
+        self.nand.copyback_read(live)?;
+        let mut moves = Vec::with_capacity(live.len());
+        for &src in live {
+            let dest = self.pool.alloc(&self.nand, WritePoint::Gc { class, channel })?;
+            self.nand.set_block_tag(self.cfg.geometry.block_of(dest), class as u32);
+            moves.push((src, dest));
+        }
+        self.nand.copyback_program(&moves)?;
+        for &(ppn, dest) in &moves {
+            self.relocate_mappings(ppn, dest)?;
+            self.stats.copyback_pages += 1;
+        }
+        // Blame the copybacks on the streams whose invalidations hollowed
+        // this block out — exact-sum per call, so the wa_ledger invariant
+        // holds even with the rest of a pipelined victim in flight.
+        let w = std::mem::take(&mut self.block_blame[rel as usize]);
+        self.settle_blame(BlameKind::Gc, live.len() as u64, &w);
+        self.block_blame[rel as usize] = w;
+        Ok(())
+    }
+
+    /// Finish a collected victim: the persisted mapping must stop
+    /// referencing it before its data disappears, then erase and free it.
+    fn retire_victim(&mut self, rel: u32) -> Result<(), FtlError> {
         self.flush_log()?;
-        self.nand.erase(block)?;
+        self.nand.erase(self.pool.abs(rel))?;
         self.stats.gc_erases += 1;
         self.pool.release(rel);
         self.block_blame[rel as usize].clear();
@@ -863,15 +862,9 @@ impl Ftl {
         self.stats.gc_events += 1;
         let block = self.pool.abs(rel);
         let ppb = self.cfg.geometry.pages_per_block;
-        // Survivors keep the victim's affinity: class and channel (same
-        // rules as `collect_victim`).
-        let tag = self.nand.block_tag(block);
-        let classes = self.pool.classes() as u32;
-        let class = if tag == UNTAGGED { CLASS_DEFAULT } else { tag.min(classes - 1) as u8 };
-        let channel = self.cfg.geometry.channel_of_block(block);
         let pending: Vec<Ppn> =
             (0..ppb).rev().map(|idx| self.cfg.geometry.ppn_at(block, idx)).collect();
-        self.gc_job = Some(GcJob { rel, class, channel, pending });
+        self.gc_job = Some(GcJob { rel, pending });
         true
     }
 
@@ -881,10 +874,7 @@ impl Ftl {
     /// relocation time, so pages the host invalidated while the job was
     /// parked are skipped. Returns the pages relocated this step.
     fn gc_step(&mut self, budget: usize) -> Result<u64, FtlError> {
-        let (rel, class, channel) = {
-            let job = self.gc_job.as_ref().expect("gc_step without a job");
-            (job.rel, job.class, job.channel)
-        };
+        let rel = self.gc_job.as_ref().expect("gc_step without a job").rel;
         let mut live: Vec<Ppn> = Vec::new();
         while live.len() < budget {
             let Some(ppn) = self.gc_job.as_mut().expect("job exists").pending.pop() else {
@@ -895,39 +885,10 @@ impl Ftl {
             }
         }
         if !live.is_empty() {
-            let page_size = self.cfg.geometry.page_size;
-            let mut bufs = vec![vec![0u8; page_size]; live.len()];
-            let mut reads: Vec<(Ppn, &mut [u8])> =
-                live.iter().zip(bufs.iter_mut()).map(|(&p, b)| (p, b.as_mut_slice())).collect();
-            self.nand.read_batch(&mut reads)?;
-            let mut dests = Vec::with_capacity(live.len());
-            for _ in &live {
-                let dest = self.pool.alloc(&self.nand, WritePoint::Gc { class, channel })?;
-                self.nand.set_block_tag(self.cfg.geometry.block_of(dest), class as u32);
-                dests.push(dest);
-            }
-            let programs: Vec<(Ppn, &[u8])> =
-                dests.iter().zip(&bufs).map(|(&d, b)| (d, b.as_slice())).collect();
-            self.nand.program_batch(&programs)?;
-            for (&ppn, &dest) in live.iter().zip(&dests) {
-                self.relocate_mappings(ppn, dest)?;
-                self.stats.copyback_pages += 1;
-            }
-            // Settle this step's copybacks against the victim's current
-            // blame weights — exact-sum per call, so the wa_ledger
-            // invariant holds even with the rest of the victim in flight.
-            let w = std::mem::take(&mut self.block_blame[rel as usize]);
-            self.settle_blame(BlameKind::Gc, live.len() as u64, &w);
-            self.block_blame[rel as usize] = w;
+            self.relocate(rel, &live)?;
         }
         if self.gc_job.as_ref().expect("job exists").pending.is_empty() {
-            // The persisted mapping must stop referencing the victim
-            // before the victim's data disappears.
-            self.flush_log()?;
-            self.nand.erase(self.pool.abs(rel))?;
-            self.stats.gc_erases += 1;
-            self.pool.release(rel);
-            self.block_blame[rel as usize].clear();
+            self.retire_victim(rel)?;
             self.gc_job = None;
         }
         Ok(live.len() as u64)

@@ -5,6 +5,7 @@ use crate::error::NandError;
 use crate::fault::{FaultHandle, FaultMode};
 use crate::geometry::{BlockId, NandGeometry, NandTiming, Ppn};
 use crate::stats::NandStats;
+use crate::store::{PageStore, ERASED};
 use crate::Result;
 use share_telemetry::{Layer, Track, Tracer};
 
@@ -21,6 +22,14 @@ pub enum PageState {
 
 /// Byte value an erased NAND page reads as.
 const ERASED_BYTE: u8 = 0xFF;
+
+/// What a program writes into its page: bytes from the host, or — an
+/// on-die copyback — the current contents of another page.
+#[derive(Clone, Copy)]
+enum Payload<'a> {
+    Host(&'a [u8]),
+    Page(Ppn),
+}
 
 /// Block tag value meaning "no stream class assigned". Freshly created
 /// and freshly erased blocks carry it; image format v2 and older load
@@ -43,8 +52,10 @@ struct DeferredWindow {
 
 /// A simulated NAND flash array.
 ///
-/// Content is stored per page (`None` = erased) so upper layers can verify
-/// data integrity end to end, including after injected crashes.
+/// Content is stored per page so upper layers can verify data integrity
+/// end to end, including after injected crashes. Pages index into a
+/// refcounted, recycled buffer store (see `store.rs`), which lets
+/// [`Self::copyback_program`] move a page without copying its bytes.
 ///
 /// # Timing model
 ///
@@ -71,7 +82,9 @@ pub struct NandArray {
     timing: NandTiming,
     clock: SimClock,
     fault: FaultHandle,
-    pages: Vec<Option<Box<[u8]>>>,
+    /// Per page: its buffer in `store`, or [`ERASED`].
+    pages: Vec<u32>,
+    store: PageStore,
     torn: Vec<bool>,
     /// Next programmable in-block page index, per block.
     next_page: Vec<u32>,
@@ -113,7 +126,8 @@ impl NandArray {
             timing,
             clock,
             fault: FaultHandle::new(),
-            pages: vec![None; total],
+            pages: vec![ERASED; total],
+            store: PageStore::default(),
             torn: vec![false; total],
             next_page: vec![0; geometry.blocks as usize],
             erase_counts: vec![0; geometry.blocks as usize],
@@ -191,7 +205,7 @@ impl NandArray {
         let i = ppn.0 as usize;
         if self.torn[i] {
             PageState::Torn
-        } else if self.pages[i].is_some() {
+        } else if self.pages[i] != ERASED {
             PageState::Programmed
         } else {
             PageState::Free
@@ -352,41 +366,81 @@ impl NandArray {
         );
     }
 
-    /// One page read, dispatched at `t0`. Returns the completion time (or
-    /// `t0` when rejected before touching the unit) and the outcome.
-    fn read_one(&mut self, ppn: Ppn, buf: &mut [u8], t0: u64) -> (u64, Result<()>) {
+    /// One page read, dispatched at `t0`, copied into `buf` unless `buf`
+    /// is `None` (a copyback read, which senses the page into the die's
+    /// page register only). Returns the completion time (or `t0` when
+    /// rejected before touching the unit) and the outcome.
+    fn read_one(&mut self, ppn: Ppn, buf: Option<&mut [u8]>, t0: u64) -> (u64, Result<()>) {
         if let Err(e) = self.check_ppn(ppn) {
             return (t0, Err(e));
         }
-        if buf.len() != self.geometry.page_size {
-            let e = NandError::BadBufferLength { got: buf.len(), want: self.geometry.page_size };
-            return (t0, Err(e));
+        let page_size = self.geometry.page_size;
+        if let Some(got) = buf.as_ref().map(|b| b.len()).filter(|&n| n != page_size) {
+            return (t0, Err(NandError::BadBufferLength { got, want: page_size }));
         }
         let unit = self.geometry.unit_of(ppn) as usize;
-        let service = self.timing.read_ns + self.timing.xfer_ns(buf.len());
+        let service = self.timing.read_ns + self.timing.xfer_ns(page_size);
         let end = self.dispatch(unit, t0, service);
         self.trace_leaf("read", unit, end, service, 1, true);
         self.stats.page_reads += 1;
-        match &self.pages[ppn.0 as usize] {
-            Some(data) => buf.copy_from_slice(data),
-            None => buf.fill(ERASED_BYTE),
+        if let Some(buf) = buf {
+            match self.pages[ppn.0 as usize] {
+                ERASED => buf.fill(ERASED_BYTE),
+                b => buf.copy_from_slice(self.store.get(b)),
+            }
         }
         (end, Ok(()))
+    }
+
+    /// A fresh buffer holding the first `cut` bytes of `payload`, with
+    /// the erased pattern after them.
+    fn fill_buffer(&mut self, payload: Payload, cut: usize) -> u32 {
+        let dst = self.store.take(self.geometry.page_size);
+        match payload {
+            Payload::Host(data) => self.store.get_mut(dst)[..cut].copy_from_slice(&data[..cut]),
+            Payload::Page(src) => match self.pages[src.0 as usize] {
+                ERASED => self.store.get_mut(dst)[..cut].fill(ERASED_BYTE),
+                b => self.store.copy_prefix(b, dst, cut),
+            },
+        }
+        self.store.get_mut(dst)[cut..].fill(ERASED_BYTE);
+        dst
+    }
+
+    /// The buffer a completed program of `payload` leaves in its page: a
+    /// copyback shares its source's buffer (buffers are immutable while
+    /// referenced), a host program fills a recycled one.
+    fn program_buffer(&mut self, payload: Payload) -> u32 {
+        match payload {
+            Payload::Page(src) if self.pages[src.0 as usize] != ERASED => {
+                self.store.share(self.pages[src.0 as usize])
+            }
+            _ => self.fill_buffer(payload, self.geometry.page_size),
+        }
     }
 
     /// One page program, dispatched at `t0`. Enforces erase-before-program
     /// and in-order programming; runs the fault countdown exactly once per
     /// dispatched attempt. Returns the completion time and the outcome.
-    fn program_one(&mut self, ppn: Ppn, data: &[u8], t0: u64) -> (u64, Result<()>) {
+    fn program_one(&mut self, ppn: Ppn, payload: Payload, t0: u64) -> (u64, Result<()>) {
         if let Err(e) = self.check_ppn(ppn) {
             return (t0, Err(e));
         }
-        if data.len() != self.geometry.page_size {
-            let e = NandError::BadBufferLength { got: data.len(), want: self.geometry.page_size };
-            return (t0, Err(e));
+        let page_size = self.geometry.page_size;
+        match payload {
+            Payload::Host(data) if data.len() != page_size => {
+                let e = NandError::BadBufferLength { got: data.len(), want: page_size };
+                return (t0, Err(e));
+            }
+            Payload::Page(src) => {
+                if let Err(e) = self.check_ppn(src) {
+                    return (t0, Err(e));
+                }
+            }
+            Payload::Host(_) => {}
         }
         let idx = ppn.0 as usize;
-        if self.pages[idx].is_some() || self.torn[idx] {
+        if self.pages[idx] != ERASED || self.torn[idx] {
             return (t0, Err(NandError::ProgramOnDirtyPage(ppn)));
         }
         let block = self.geometry.block_of(ppn);
@@ -397,17 +451,14 @@ impl NandArray {
         }
 
         let unit = self.geometry.unit_of(ppn) as usize;
-        let service = self.timing.program_ns + self.timing.xfer_ns(data.len());
+        let service = self.timing.program_ns + self.timing.xfer_ns(page_size);
         let end = self.dispatch(unit, t0, service);
 
         if let Some(mode) = self.fault.on_program() {
             self.trace_leaf("program", unit, end, service, 1, false);
             match mode {
                 FaultMode::TornHalf => {
-                    let mut torn = vec![ERASED_BYTE; data.len()];
-                    let cut = data.len() / 2;
-                    torn[..cut].copy_from_slice(&data[..cut]);
-                    self.pages[idx] = Some(torn.into_boxed_slice());
+                    self.pages[idx] = self.fill_buffer(payload, page_size / 2);
                     self.torn[idx] = true;
                     self.next_page[block.0 as usize] = in_block + 1;
                     self.stats.page_programs += 1;
@@ -418,7 +469,7 @@ impl NandArray {
                     // a program that never reached the cells.
                 }
                 FaultMode::AfterProgram => {
-                    self.pages[idx] = Some(data.to_vec().into_boxed_slice());
+                    self.pages[idx] = self.program_buffer(payload);
                     self.next_page[block.0 as usize] = in_block + 1;
                     self.stats.page_programs += 1;
                 }
@@ -426,7 +477,7 @@ impl NandArray {
             return (end, Err(NandError::PowerLoss));
         }
 
-        self.pages[idx] = Some(data.to_vec().into_boxed_slice());
+        self.pages[idx] = self.program_buffer(payload);
         self.next_page[block.0 as usize] = in_block + 1;
         self.stats.page_programs += 1;
         self.trace_leaf("program", unit, end, service, 1, true);
@@ -449,7 +500,10 @@ impl NandArray {
         let start = self.geometry.first_ppn(block).0 as usize;
         let last = start + self.geometry.pages_per_block as usize;
         for i in start..last {
-            self.pages[i] = None;
+            let b = std::mem::replace(&mut self.pages[i], ERASED);
+            if b != ERASED {
+                self.store.release(b);
+            }
             self.torn[i] = false;
         }
         self.next_page[block.0 as usize] = 0;
@@ -463,7 +517,7 @@ impl NandArray {
     pub fn read(&mut self, ppn: Ppn, buf: &mut [u8]) -> Result<()> {
         self.check_up()?;
         let t0 = self.submit_t0();
-        let (end, res) = self.read_one(ppn, buf, t0);
+        let (end, res) = self.read_one(ppn, Some(buf), t0);
         self.complete_submission(end);
         res
     }
@@ -472,20 +526,15 @@ impl NandArray {
     /// at the same submission time, so pages on different channels overlap
     /// in simulated time while same-unit pages queue behind each other.
     pub fn read_batch(&mut self, reqs: &mut [(Ppn, &mut [u8])]) -> Result<()> {
-        self.check_up()?;
-        let t0 = self.submit_t0();
-        let mut max_end = t0;
-        let mut res = Ok(());
-        for (ppn, buf) in reqs.iter_mut() {
-            let (end, r) = self.read_one(*ppn, buf, t0);
-            max_end = max_end.max(end);
-            if r.is_err() {
-                res = r;
-                break;
-            }
-        }
-        self.complete_submission(max_end);
-        res
+        self.submit(reqs.iter_mut(), |a, r, t0| a.read_one(r.0, Some(&mut *r.1), t0))
+    }
+
+    /// First phase of an on-die copyback: sense `ppns` into their dies'
+    /// page registers as one submission. Timing, lane reservations, trace
+    /// leaves and `page_reads` are exactly [`Self::read_batch`]'s; no
+    /// bytes reach the host. [`Self::copyback_program`] finishes the move.
+    pub fn copyback_read(&mut self, ppns: &[Ppn]) -> Result<()> {
+        self.submit(ppns.iter(), |a, &ppn, t0| a.read_one(ppn, None, t0))
     }
 
     /// Program one page. Enforces erase-before-program and in-order
@@ -493,7 +542,7 @@ impl NandArray {
     pub fn program(&mut self, ppn: Ppn, data: &[u8]) -> Result<()> {
         self.check_up()?;
         let t0 = self.submit_t0();
-        let (end, res) = self.program_one(ppn, data, t0);
+        let (end, res) = self.program_one(ppn, Payload::Host(data), t0);
         self.complete_submission(end);
         res
     }
@@ -506,20 +555,21 @@ impl NandArray {
     /// per-page loop would have left. Only the timing differs: the clock
     /// moves once, to the max completion time across units.
     pub fn program_batch(&mut self, reqs: &[(Ppn, &[u8])]) -> Result<()> {
-        self.check_up()?;
-        let t0 = self.submit_t0();
-        let mut max_end = t0;
-        let mut res = Ok(());
-        for (ppn, data) in reqs {
-            let (end, r) = self.program_one(*ppn, data, t0);
-            max_end = max_end.max(end);
-            if r.is_err() {
-                res = r;
-                break;
-            }
-        }
-        self.complete_submission(max_end);
-        res
+        self.submit(reqs.iter(), |a, &(ppn, data), t0| a.program_one(ppn, Payload::Host(data), t0))
+    }
+
+    /// Second phase of an on-die copyback: program each `(src, dst)`
+    /// pair's destination with the source page's contents, as one
+    /// submission. Timing, slice-order fault countdown and counters are
+    /// exactly [`Self::program_batch`]'s. A completed destination shares
+    /// its source's buffer — no copy, no allocation — and the source
+    /// stays readable until its own block is erased. Under an injected
+    /// fault a torn destination holds the source's first half over an
+    /// erased tail, and a dropped one stays erased. Each source must
+    /// still hold what [`Self::copyback_read`] sensed: it is neither
+    /// erased nor programmed between the two phases.
+    pub fn copyback_program(&mut self, moves: &[(Ppn, Ppn)]) -> Result<()> {
+        self.submit(moves.iter(), |a, &(src, dst), t0| a.program_one(dst, Payload::Page(src), t0))
     }
 
     /// Erase a whole block, freeing all its pages.
@@ -533,12 +583,24 @@ impl NandArray {
 
     /// Erase a vector of blocks as one submission, channel-parallel.
     pub fn erase_batch(&mut self, blocks: &[BlockId]) -> Result<()> {
+        self.submit(blocks.iter(), |a, &block, t0| a.erase_one(block, t0))
+    }
+
+    /// Run one batched submission: every op dispatches at the same
+    /// submission time, in slice order, and the first failure stops the
+    /// batch; the clock (or window frontier) then moves once, to the
+    /// latest completion.
+    fn submit<T>(
+        &mut self,
+        ops: impl Iterator<Item = T>,
+        mut one: impl FnMut(&mut Self, T, u64) -> (u64, Result<()>),
+    ) -> Result<()> {
         self.check_up()?;
         let t0 = self.submit_t0();
         let mut max_end = t0;
         let mut res = Ok(());
-        for &block in blocks {
-            let (end, r) = self.erase_one(block, t0);
+        for op in ops {
+            let (end, r) = one(self, op, t0);
             max_end = max_end.max(end);
             if r.is_err() {
                 res = r;
@@ -563,11 +625,16 @@ impl NandArray {
     /// Raw content of a programmed (or torn) page, without timing or
     /// counters — used by image persistence.
     pub(crate) fn raw_page(&self, ppn: Ppn) -> Option<&[u8]> {
-        self.pages[ppn.0 as usize].as_deref()
+        match self.pages[ppn.0 as usize] {
+            ERASED => None,
+            b => Some(self.store.get(b)),
+        }
     }
 
     /// Rebuild an array from persisted parts (image loading). Validates
-    /// structural consistency; returns a message on mismatch.
+    /// structural consistency — including that a page holds data exactly
+    /// when its in-block index is below its block's write frontier —
+    /// and returns a message on mismatch.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         geometry: NandGeometry,
@@ -590,20 +657,27 @@ impl NandArray {
         {
             return Err("block vectors do not match geometry");
         }
-        for (i, p) in pages.iter().enumerate() {
-            if let Some(content) = p {
-                if content.len() != geometry.page_size {
-                    return Err("page content length mismatch");
+        let ppb = geometry.pages_per_block as usize;
+        for (block, &frontier) in next_page.iter().enumerate() {
+            if frontier as usize > ppb {
+                return Err("block write frontier beyond the block");
+            }
+            let first = block * ppb;
+            for (i, page) in pages[first..first + ppb].iter().enumerate() {
+                if page.is_some() != (i < frontier as usize) {
+                    return Err("page state does not match its block's write frontier");
                 }
-                let _ = i;
             }
         }
+        let mut store = PageStore::default();
+        let slots = pages.into_iter().map(|p| p.map_or(ERASED, |b| store.adopt(b))).collect();
         Ok(Self {
             geometry,
             timing,
             clock,
             fault: FaultHandle::new(),
-            pages,
+            pages: slots,
+            store,
             torn,
             next_page,
             erase_counts,
@@ -1077,6 +1151,100 @@ mod tests {
         a.charge(123);
         assert_eq!(a.clock().now_ns(), 123);
         assert!(!a.deferred_active());
+    }
+
+    /// Every buffer's refcount equals the pages pointing at it, and the
+    /// free list holds exactly the unreferenced buffers, once each.
+    fn assert_store_consistent(a: &NandArray) {
+        let mut holders = vec![0u32; a.store.len()];
+        for &b in &a.pages {
+            if b != ERASED {
+                holders[b as usize] += 1;
+            }
+        }
+        let mut free = a.store.free_list().to_vec();
+        free.sort_unstable();
+        free.dedup();
+        assert_eq!(free.len(), a.store.free_list().len(), "buffer freed twice");
+        for (i, &n) in holders.iter().enumerate() {
+            assert_eq!(a.store.refs(i as u32), n, "refcount of buffer {i}");
+            assert_eq!(free.binary_search(&(i as u32)).is_ok(), n == 0, "free list vs buffer {i}");
+        }
+    }
+
+    fn read_back(a: &mut NandArray, ppn: Ppn) -> Vec<u8> {
+        let mut buf = vec![0u8; a.geometry().page_size];
+        a.read(ppn, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn copyback_shares_buffers_and_recycles_only_unreferenced_ones() {
+        for source_erased_first in [true, false] {
+            let mut a = small();
+            // Block 0 pages 0..2 hold A and B; copy both to block 1.
+            a.program_batch(&[(Ppn(0), &page(0xA0, 512)), (Ppn(1), &page(0xB0, 512))]).unwrap();
+            a.copyback_read(&[Ppn(0), Ppn(1)]).unwrap();
+            a.copyback_program(&[(Ppn(0), Ppn(4)), (Ppn(1), Ppn(5))]).unwrap();
+            assert_eq!(a.pages[4], a.pages[0], "a copyback shares its source's buffer");
+            assert_eq!(a.store.refs(a.pages[4]), 2);
+            assert_store_consistent(&a);
+            let (first, second) = if source_erased_first { (0, 1) } else { (1, 0) };
+            a.erase(BlockId(first)).unwrap();
+            assert_store_consistent(&a);
+            assert!(a.store.free_list().is_empty(), "shared buffers survive one erase");
+            // New programs into the erased block cannot take a buffer the
+            // surviving copy still uses.
+            let fb = first * 4;
+            a.program_batch(&[(Ppn(fb), &page(0xC0, 512)), (Ppn(fb + 1), &page(0xD0, 512))])
+                .unwrap();
+            assert_store_consistent(&a);
+            let sb = second * 4;
+            assert_eq!(read_back(&mut a, Ppn(sb)), page(0xA0, 512), "survivor intact");
+            assert_eq!(read_back(&mut a, Ppn(sb + 1)), page(0xB0, 512), "survivor intact");
+            // Erasing the survivor frees the shared buffers; the next
+            // programs recycle them without touching live pages.
+            a.erase(BlockId(second)).unwrap();
+            assert_store_consistent(&a);
+            assert_eq!(a.store.free_list().len(), 2);
+            let allocated = a.store.len();
+            a.program_batch(&[(Ppn(8), &page(0xE0, 512)), (Ppn(9), &page(0xF0, 512))]).unwrap();
+            assert_eq!(a.store.len(), allocated, "steady state allocates nothing");
+            assert_store_consistent(&a);
+            assert_eq!(read_back(&mut a, Ppn(fb)), page(0xC0, 512));
+            assert_eq!(read_back(&mut a, Ppn(fb + 1)), page(0xD0, 512));
+            assert_eq!(read_back(&mut a, Ppn(8)), page(0xE0, 512));
+            assert_eq!(read_back(&mut a, Ppn(9)), page(0xF0, 512));
+        }
+    }
+
+    #[test]
+    fn faulted_copybacks_keep_the_store_consistent() {
+        for mode in FaultMode::ALL {
+            let mut a = small();
+            a.program_batch(&[(Ppn(0), &page(0x5A, 512)), (Ppn(1), &page(0xA5, 512))]).unwrap();
+            a.fault_handle().arm_after_programs(2, mode);
+            let moves = [(Ppn(0), Ppn(4)), (Ppn(1), Ppn(5))];
+            assert_eq!(a.copyback_program(&moves), Err(NandError::PowerLoss));
+            a.power_cycle();
+            assert_store_consistent(&a);
+            a.erase(BlockId(0)).unwrap();
+            assert_store_consistent(&a);
+            assert_eq!(read_back(&mut a, Ppn(4)), page(0x5A, 512));
+            let second = read_back(&mut a, Ppn(5));
+            match mode {
+                FaultMode::TornHalf => {
+                    assert_eq!(second[..256], page(0xA5, 256)[..]);
+                    assert_eq!(second[256..], page(0xFF, 256)[..]);
+                }
+                FaultMode::DroppedWrite => assert_eq!(second, page(0xFF, 512)),
+                FaultMode::AfterProgram => assert_eq!(second, page(0xA5, 512)),
+            }
+            // Recycled buffers land on the erased block, not the survivors.
+            a.program_batch(&[(Ppn(0), &page(1, 512)), (Ppn(1), &page(2, 512))]).unwrap();
+            assert_store_consistent(&a);
+            assert_eq!(read_back(&mut a, Ppn(4)), page(0x5A, 512));
+        }
     }
 
     #[test]

@@ -299,5 +299,19 @@ mod tests {
         let mut junk = buf.clone();
         junk[0] = b'X';
         assert!(NandArray::load_image(&mut junk.as_slice(), NandTiming::default()).is_err());
+
+        // Block 0 holds a programmed page 0 and a torn page 1 (frontier
+        // 2). Rewrite its frontier so the pages disagree with it: a page
+        // with data at or above the frontier, an erased page below it,
+        // and a frontier past the end of the block.
+        let frontier_at = 72 + 4; // header, then block 0's erase count
+        assert_eq!(buf[frontier_at..frontier_at + 4], 2u32.to_le_bytes());
+        for (frontier, what) in [(1u32, "data above"), (3, "erased below"), (5, "past the block")] {
+            let mut bad = buf.clone();
+            bad[frontier_at..frontier_at + 4].copy_from_slice(&frontier.to_le_bytes());
+            let err = NandArray::load_image(&mut bad.as_slice(), NandTiming::default())
+                .expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
     }
 }

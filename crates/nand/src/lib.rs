@@ -41,6 +41,7 @@ mod fault;
 mod geometry;
 mod image;
 mod stats;
+mod store;
 
 pub use array::{NandArray, PageState, UNTAGGED};
 pub use clock::{SimClock, NS_PER_SEC};
