@@ -4,11 +4,12 @@
 //! These measure *implementation* cost (wall-clock per simulated command),
 //! not simulated latency — a sanity check that the simulator itself is
 //! fast enough to drive the full experiments, and a regression guard on
-//! the hot paths (mapping update, share batch, GC-pressured write).
+//! the hot paths (mapping update, share batch, GC-pressured write, and the
+//! page checksum every engine and metadata page carries).
 
 use nand_sim::NandTiming;
 use share_bench::timing::Group;
-use share_core::{BlockDevice, Ftl, FtlConfig, Lpn, SharePair};
+use share_core::{crc32c, BlockDevice, Ftl, FtlConfig, Lpn, SharePair};
 use std::hint::black_box;
 
 fn small_dev() -> Ftl {
@@ -53,6 +54,15 @@ fn bench_write(g: &mut Group) {
             i += 1;
         });
     }
+}
+
+fn bench_checksum(g: &mut Group) {
+    g.sample_size(30).throughput_elements(1);
+    // A 4 KiB page less its 4-byte CRC field, as InnoDB and SQLite pages checksum it.
+    let page: Vec<u8> = (0..4092u32).map(|i| (i * 31 + 7) as u8).collect();
+    g.bench_function("crc32c_4k", || {
+        black_box(crc32c(black_box(&page)));
+    });
 }
 
 fn bench_share(g: &mut Group) {
@@ -104,6 +114,11 @@ fn bench_gc_pressure(g: &mut Group) {
 fn main() {
     share_bench::timing::main_with(
         "ftl_ops",
-        &mut [("ftl", &mut bench_write), ("share", &mut bench_share), ("gc", &mut bench_gc_pressure)],
+        &mut [
+            ("ftl", &mut bench_write),
+            ("core", &mut bench_checksum),
+            ("share", &mut bench_share),
+            ("gc", &mut bench_gc_pressure),
+        ],
     );
 }

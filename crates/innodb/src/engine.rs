@@ -116,11 +116,6 @@ pub struct EngineStats {
     pub group_commits: u64,
 }
 
-enum LoadOutcome {
-    Loaded(NodePage),
-    Empty,
-}
-
 /// The storage engine.
 pub struct InnoDb<D: BlockDevice> {
     cfg: InnoDbConfig,
@@ -292,7 +287,8 @@ impl<D: BlockDevice> InnoDb<D> {
         page_no * self.ppd
     }
 
-    fn load_page(&mut self, page_no: u64) -> Result<LoadOutcome, EngineError> {
+    /// Read tablespace page `page_no`; `None` if it was never written.
+    fn load_page(&mut self, page_no: u64) -> Result<Option<NodePage>, EngineError> {
         let dps = self.fs.page_size();
         let mut img = vec![0u8; self.cfg.page_bytes];
         {
@@ -304,22 +300,7 @@ impl<D: BlockDevice> InnoDb<D> {
                 .collect();
             self.fs.read_pages(self.ts, &mut reqs)?;
         }
-        match NodePage::decode(&img) {
-            Ok(p) => {
-                if p.page_no != page_no {
-                    return Err(EngineError::Corrupt(format!(
-                        "page {page_no} holds image of page {}",
-                        p.page_no
-                    )));
-                }
-                Ok(LoadOutcome::Loaded(p))
-            }
-            Err(PageDecodeError::Empty) => Ok(LoadOutcome::Empty),
-            Err(PageDecodeError::BadChecksum { .. }) => Err(EngineError::TornPage { page_no }),
-            Err(PageDecodeError::Malformed(m)) => {
-                Err(EngineError::Corrupt(format!("page {page_no}: {m}")))
-            }
-        }
+        decode_loaded(&img, page_no)
     }
 
     fn write_image(&mut self, file: FileId, first_page: u64, img: &[u8]) -> Result<(), EngineError> {
@@ -382,21 +363,9 @@ impl<D: BlockDevice> InnoDb<D> {
             self.fs.read_pages(self.ts, &mut reqs)?;
         }
         for (img, &no) in imgs.iter().zip(&missing) {
-            match NodePage::decode(img) {
-                Ok(p) if p.page_no == no => self.pool.insert(p, false),
-                Ok(p) => {
-                    return Err(EngineError::Corrupt(format!(
-                        "page {no} holds image of page {}",
-                        p.page_no
-                    )))
-                }
-                Err(PageDecodeError::Empty) => {} // serial path reports if really read
-                Err(PageDecodeError::BadChecksum { .. }) => {
-                    return Err(EngineError::TornPage { page_no: no })
-                }
-                Err(PageDecodeError::Malformed(m)) => {
-                    return Err(EngineError::Corrupt(format!("page {no}: {m}")))
-                }
+            // An empty page stays out: the serial path reports it if really read.
+            if let Some(p) = decode_loaded(img, no)? {
+                self.pool.insert(p, false);
             }
         }
         Ok(())
@@ -409,8 +378,8 @@ impl<D: BlockDevice> InnoDb<D> {
         }
         self.make_room()?;
         match self.load_page(page_no)? {
-            LoadOutcome::Loaded(p) => self.pool.insert(p, false),
-            LoadOutcome::Empty => {
+            Some(p) => self.pool.insert(p, false),
+            None => {
                 return Err(EngineError::Corrupt(format!("read of never-written page {page_no}")))
             }
         }
@@ -476,7 +445,6 @@ impl<D: BlockDevice> InnoDb<D> {
                 };
                 self.pool.evict(clean);
             }
-            let _ = (victim, dirty);
         }
         Ok(())
     }
@@ -652,10 +620,8 @@ impl<D: BlockDevice> InnoDb<D> {
                 if !self.pool.contains(*page_no) {
                     self.make_room()?;
                     match self.load_page(*page_no)? {
-                        LoadOutcome::Loaded(p) => self.pool.insert(p, false),
-                        LoadOutcome::Empty => {
-                            self.pool.insert(NodePage::new(*page_no, *level), false)
-                        }
+                        Some(p) => self.pool.insert(p, false),
+                        None => self.pool.insert(NodePage::new(*page_no, *level), false),
                     }
                 }
                 let level = *level;
@@ -851,7 +817,7 @@ impl<D: BlockDevice> InnoDb<D> {
             let Ok(copy) = NodePage::decode(&img) else {
                 continue; // torn or empty DWB slot: ignore
             };
-            let home_ok = matches!(self.load_page(copy.page_no), Ok(LoadOutcome::Loaded(_)));
+            let home_ok = matches!(self.load_page(copy.page_no), Ok(Some(_)));
             if !home_ok {
                 self.write_image(self.ts, self.ts_offset(copy.page_no), &img)?;
                 repaired += 1;
@@ -861,5 +827,21 @@ impl<D: BlockDevice> InnoDb<D> {
             self.fs.fsync(self.ts)?;
         }
         Ok(repaired)
+    }
+}
+
+/// Decode the image read for tablespace page `page_no`: `None` for a page
+/// never written, an error for a torn, malformed or misplaced image.
+fn decode_loaded(img: &[u8], page_no: u64) -> Result<Option<NodePage>, EngineError> {
+    match NodePage::decode(img) {
+        Ok(p) if p.page_no == page_no => Ok(Some(p)),
+        Ok(p) => {
+            Err(EngineError::Corrupt(format!("page {page_no} holds image of page {}", p.page_no)))
+        }
+        Err(PageDecodeError::Empty) => Ok(None),
+        Err(PageDecodeError::BadChecksum { .. }) => Err(EngineError::TornPage { page_no }),
+        Err(PageDecodeError::Malformed(m)) => {
+            Err(EngineError::Corrupt(format!("page {page_no}: {m}")))
+        }
     }
 }
