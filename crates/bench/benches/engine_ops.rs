@@ -2,7 +2,7 @@
 //! harness; see `share_bench::timing`).
 
 use mini_couch::{CouchConfig, CouchMode, CouchStore};
-use mini_innodb::{standard_log_device, FlushMode, InnoDb, InnoDbConfig};
+use mini_innodb::{standard_log_device, FlushMode, InnoDb, InnoDbConfig, Key, NodePage};
 use nand_sim::NandTiming;
 use share_bench::timing::Group;
 use share_core::{BlockDevice, Ftl, FtlConfig};
@@ -19,6 +19,21 @@ fn innodb(mode: FlushMode) -> InnoDb<Ftl> {
 
 fn bench_innodb(g: &mut Group) {
     g.sample_size(30).throughput_elements(1);
+    // One full 4 KiB leaf: 25 LinkBench-sized rows of 130 bytes.
+    let mut leaf = NodePage::new(7, 0);
+    for i in 0..25u64 {
+        leaf.upsert(Key::link(1, 0, i), &[i as u8; 130]);
+    }
+    let img = leaf.encode(4096);
+    // The engine's load path: decode into the buffers of an evicted page.
+    let mut spare = Some(NodePage::new(0, 0));
+    g.bench_function("page_decode_4k", || {
+        let p = NodePage::decode_reusing(black_box(&img), spare.take().unwrap()).unwrap();
+        spare = Some(black_box(p));
+    });
+    g.bench_function("page_encode_4k", || {
+        black_box(black_box(&leaf).encode(4096));
+    });
     for mode in [FlushMode::DwbOn, FlushMode::Share] {
         let mut db = innodb(mode);
         for i in 0..5_000u64 {

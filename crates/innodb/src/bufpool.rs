@@ -1,14 +1,48 @@
 //! Buffer pool: fixed-capacity page cache with O(1) LRU and a dirty set.
 //!
-//! The pool holds *decoded* [`NodePage`]s. It performs no I/O itself: the
-//! engine loads pages on miss and flushes dirty victims (through the
-//! double-write / SHARE protocol) when the pool needs room, mirroring
-//! InnoDB's flush-list eviction that the paper's Figure 1(a) depicts.
+//! The pool holds [`NodePage`]s, each keeping its entries in the packed
+//! on-disk layout, so a load is one checked copy of the image and a flush
+//! one copy back. Evicted pages go to a small spare list and the next load
+//! decodes into one of them, so steady-state loads and evictions allocate
+//! nothing. The pool performs no I/O itself: the engine loads pages on
+//! miss and flushes dirty victims (through the double-write / SHARE
+//! protocol) when the pool needs room, mirroring InnoDB's flush-list
+//! eviction that the paper's Figure 1(a) depicts.
 
 use crate::page::NodePage;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const NIL: usize = usize::MAX;
+
+/// Evicted pages kept for their buffers; a batched prefetch loads at most
+/// about one page per host connection at a time.
+const SPARE_PAGES: usize = 16;
+
+/// Multiplicative (Fibonacci) hash of a page number. The page map is only
+/// ever probed, never iterated, so its hash function cannot reach any
+/// ordering the engine observes; it only has to be cheap and spread
+/// sequential page numbers.
+#[derive(Default)]
+struct PageNoHasher(u64);
+
+impl Hasher for PageNoHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type PageMap = HashMap<u64, usize, BuildHasherDefault<PageNoHasher>>;
 
 #[derive(Debug)]
 struct Frame {
@@ -34,12 +68,13 @@ pub struct PoolStats {
 pub struct BufferPool {
     capacity: usize,
     frames: Vec<Option<Frame>>,
-    map: HashMap<u64, usize>,
+    map: PageMap,
     head: usize, // most recently used
     tail: usize, // least recently used
     free: Vec<usize>,
     dirty: usize,
     stats: PoolStats,
+    spare: Vec<NodePage>,
 }
 
 impl BufferPool {
@@ -49,12 +84,13 @@ impl BufferPool {
         Self {
             capacity,
             frames: (0..capacity).map(|_| None).collect(),
-            map: HashMap::with_capacity(capacity),
+            map: PageMap::with_capacity_and_hasher(capacity, Default::default()),
             head: NIL,
             tail: NIL,
             free: (0..capacity).rev().collect(),
             dirty: 0,
             stats: PoolStats::default(),
+            spare: Vec::with_capacity(SPARE_PAGES),
         }
     }
 
@@ -239,8 +275,8 @@ impl BufferPool {
         out
     }
 
-    /// Evict a clean resident page, returning it.
-    pub fn evict(&mut self, page_no: u64) -> NodePage {
+    /// Evict a clean resident page, keeping its buffers for a later load.
+    pub fn evict(&mut self, page_no: u64) {
         let idx = self.map.remove(&page_no).expect("evict of non-resident page");
         assert!(
             !self.frames[idx].as_ref().expect("mapped frame").dirty,
@@ -250,7 +286,15 @@ impl BufferPool {
         let frame = self.frames[idx].take().expect("mapped frame");
         self.free.push(idx);
         self.stats.evictions += 1;
-        frame.page
+        if self.spare.len() < SPARE_PAGES {
+            self.spare.push(frame.page);
+        }
+    }
+
+    /// A page whose buffers a load can decode into: the most recently
+    /// evicted one, or a fresh empty page.
+    pub(crate) fn take_spare(&mut self) -> NodePage {
+        self.spare.pop().unwrap_or_else(|| NodePage::new(0, 0))
     }
 
     /// Drop everything (recovery restart).
@@ -279,7 +323,8 @@ mod tests {
         assert!(p.contains(1));
         assert!(p.get_mut(1).is_some());
         assert!(p.get_mut(2).is_none());
-        let out = p.evict(1);
+        p.evict(1);
+        let out = p.take_spare();
         assert_eq!(out.page_no, 1);
         assert!(!p.contains(1));
         assert_eq!(p.stats().hits, 1);

@@ -23,7 +23,7 @@
 
 use crate::bufpool::{BufferPool, PoolStats};
 use crate::error::EngineError;
-use crate::page::{NodePage, PageDecodeError, NO_PAGE};
+use crate::page::{NodePage, PageDecodeError, MAX_PAGE_BYTES, NO_PAGE};
 use crate::redo::{CheckpointMeta, RedoBody, RedoLog};
 use share_core::{BlockDevice, DeviceStats, SimpleSsd};
 use share_telemetry::{Layer, SpanId, Track};
@@ -138,12 +138,15 @@ pub struct InnoDb<D: BlockDevice> {
     /// Transactions committed in the open group window.
     group_pending: u64,
     stats: EngineStats,
+    /// Read buffer for page loads, reused across loads.
+    io_buf: Vec<u8>,
 }
 
 impl<D: BlockDevice> InnoDb<D> {
     /// Create a fresh database on `data_dev` (tablespace + double-write
     /// area preallocated) with the redo log on `log_dev`.
     pub fn create(data_dev: D, log_dev: SimpleSsd, cfg: InnoDbConfig) -> Result<Self, EngineError> {
+        check_page_bytes(&cfg)?;
         assert_eq!(cfg.page_bytes % data_dev.page_size(), 0, "engine page must be a multiple of the device page");
         let ppd = (cfg.page_bytes / data_dev.page_size()) as u64;
         // Ordered-mode metadata journaling: ~2 journal pages per fsync that
@@ -178,6 +181,7 @@ impl<D: BlockDevice> InnoDb<D> {
             in_group: false,
             group_pending: 0,
             stats: EngineStats::default(),
+            io_buf: Vec::new(),
         })
     }
 
@@ -185,6 +189,7 @@ impl<D: BlockDevice> InnoDb<D> {
     /// complete mini-transactions. The devices must already be through
     /// their own recovery (e.g. [`share_core::Ftl::open`]).
     pub fn open(data_dev: D, log_dev: SimpleSsd, cfg: InnoDbConfig) -> Result<Self, EngineError> {
+        check_page_bytes(&cfg)?;
         let ppd = (cfg.page_bytes / data_dev.page_size()) as u64;
         let opts = VfsOptions { journal_pages_per_commit: 2, ..Default::default() };
         let mut fs = Vfs::open(data_dev, opts)?;
@@ -212,6 +217,7 @@ impl<D: BlockDevice> InnoDb<D> {
             in_group: false,
             group_pending: 0,
             stats: EngineStats::default(),
+            io_buf: Vec::new(),
         };
         if meta.height == 0 && meta.root == 0 {
             // Fresh log header: an empty tree uses the NO_PAGE sentinel.
@@ -290,17 +296,18 @@ impl<D: BlockDevice> InnoDb<D> {
     /// Read tablespace page `page_no`; `None` if it was never written.
     fn load_page(&mut self, page_no: u64) -> Result<Option<NodePage>, EngineError> {
         let dps = self.fs.page_size();
-        let mut img = vec![0u8; self.cfg.page_bytes];
+        let base = self.ts_offset(page_no);
+        self.io_buf.resize(self.cfg.page_bytes, 0);
         {
-            let base = self.ts_offset(page_no);
-            let mut reqs: Vec<(u64, &mut [u8])> = img
+            let mut reqs: Vec<(u64, &mut [u8])> = self
+                .io_buf
                 .chunks_mut(dps)
                 .enumerate()
                 .map(|(j, chunk)| (base + j as u64, chunk))
                 .collect();
             self.fs.read_pages(self.ts, &mut reqs)?;
         }
-        decode_loaded(&img, page_no)
+        decode_loaded(&self.io_buf, page_no, self.pool.take_spare())
     }
 
     fn write_image(&mut self, file: FileId, first_page: u64, img: &[u8]) -> Result<(), EngineError> {
@@ -349,22 +356,22 @@ impl<D: BlockDevice> InnoDb<D> {
         }
         self.make_room_for(missing.len())?;
         let dps = self.fs.page_size();
-        let mut imgs: Vec<Vec<u8>> =
-            missing.iter().map(|_| vec![0u8; self.cfg.page_bytes]).collect();
+        let page_bytes = self.cfg.page_bytes;
+        self.io_buf.resize(missing.len() * page_bytes, 0);
         {
             let mut reqs: Vec<(u64, &mut [u8])> =
                 Vec::with_capacity(missing.len() * self.ppd as usize);
-            for (img, &no) in imgs.iter_mut().zip(&missing) {
-                let base = self.ts_offset(no);
+            for (img, &no) in self.io_buf.chunks_mut(page_bytes).zip(&missing) {
+                let base = no * self.ppd; // ts_offset, without borrowing all of self
                 for (j, chunk) in img.chunks_mut(dps).enumerate() {
                     reqs.push((base + j as u64, chunk));
                 }
             }
             self.fs.read_pages(self.ts, &mut reqs)?;
         }
-        for (img, &no) in imgs.iter().zip(&missing) {
+        for (img, &no) in self.io_buf.chunks(page_bytes).zip(&missing) {
             // An empty page stays out: the serial path reports it if really read.
-            if let Some(p) = decode_loaded(img, no)? {
+            if let Some(p) = decode_loaded(img, no, self.pool.take_spare())? {
                 self.pool.insert(p, false);
             }
         }
@@ -630,35 +637,20 @@ impl<D: BlockDevice> InnoDb<D> {
                     *p = NodePage::new(no, level);
                 })
             }
-            RedoBody::Upsert { page_no, key, value } => {
-                let (key, value) = (*key, value.clone());
-                self.with_page(*page_no, lsn, move |p| {
-                    p.upsert(key, value);
-                })
-            }
-            RedoBody::Remove { page_no, key } => {
-                let key = *key;
-                self.with_page(*page_no, lsn, move |p| {
-                    p.remove(&key);
-                })
-            }
+            RedoBody::Upsert { page_no, key, value } => self.with_page(*page_no, lsn, |p| {
+                p.upsert(*key, value);
+            }),
+            RedoBody::Remove { page_no, key } => self.with_page(*page_no, lsn, |p| {
+                p.remove(key);
+            }),
             RedoBody::AppendEntries { page_no, entries } => {
-                let entries = entries.clone();
-                self.with_page(*page_no, lsn, move |p| {
-                    p.extend_high(entries);
-                })
+                self.with_page(*page_no, lsn, |p| p.extend_high(entries))
             }
-            RedoBody::TruncateHigh { page_no, pivot } => {
-                let pivot = *pivot;
-                self.with_page(*page_no, lsn, move |p| {
-                    p.drain_high(&pivot);
-                })
-            }
+            RedoBody::TruncateHigh { page_no, pivot } => self.with_page(*page_no, lsn, |p| {
+                p.drain_high(pivot);
+            }),
             RedoBody::SetNextPtr { page_no, next } => {
-                let next = *next;
-                self.with_page(*page_no, lsn, move |p| {
-                    p.next = next;
-                })
+                self.with_page(*page_no, lsn, |p| p.next = *next)
             }
         }
     }
@@ -830,10 +822,26 @@ impl<D: BlockDevice> InnoDb<D> {
     }
 }
 
-/// Decode the image read for tablespace page `page_no`: `None` for a page
-/// never written, an error for a torn, malformed or misplaced image.
-fn decode_loaded(img: &[u8], page_no: u64) -> Result<Option<NodePage>, EngineError> {
-    match NodePage::decode(img) {
+/// The slot directory addresses at most a 64 KiB page.
+fn check_page_bytes(cfg: &InnoDbConfig) -> Result<(), EngineError> {
+    if cfg.page_bytes > MAX_PAGE_BYTES {
+        return Err(EngineError::Config(format!(
+            "page_bytes {} exceeds the {MAX_PAGE_BYTES}-byte page format limit",
+            cfg.page_bytes
+        )));
+    }
+    Ok(())
+}
+
+/// Decode the image read for tablespace page `page_no` into `spare`'s
+/// buffers: `None` for a page never written, an error for a torn,
+/// malformed or misplaced image.
+fn decode_loaded(
+    img: &[u8],
+    page_no: u64,
+    spare: NodePage,
+) -> Result<Option<NodePage>, EngineError> {
+    match NodePage::decode_reusing(img, spare) {
         Ok(p) if p.page_no == page_no => Ok(Some(p)),
         Ok(p) => {
             Err(EngineError::Corrupt(format!("page {page_no} holds image of page {}", p.page_no)))

@@ -19,6 +19,9 @@ pub enum EngineError {
     RecordTooLarge { bytes: usize, max: usize },
     /// The redo log is corrupt or from an incompatible layout.
     RedoCorrupt(String),
+    /// The engine configuration cannot be used (e.g. an unaddressable
+    /// page size).
+    Config(String),
     /// Internal invariant violation (a bug).
     Corrupt(String),
 }
@@ -35,6 +38,7 @@ impl fmt::Display for EngineError {
                 write!(f, "record of {bytes} B exceeds page limit {max} B")
             }
             EngineError::RedoCorrupt(m) => write!(f, "redo log corrupt: {m}"),
+            EngineError::Config(m) => write!(f, "bad configuration: {m}"),
             EngineError::Corrupt(m) => write!(f, "engine corrupt: {m}"),
         }
     }

@@ -177,6 +177,10 @@ pub struct RedoLog {
     next_lsn: u64,
     flushed_lsn: u64,
     bytes_since_ckpt: u64,
+    /// Scratch for encoding one record, reused across appends.
+    rec: Vec<u8>,
+    /// Scratch log-page image, reused across page writes.
+    page: Vec<u8>,
 }
 
 /// Page payload layout: magic(4) crc(4) used(2) pad(6) payload.
@@ -194,6 +198,8 @@ impl RedoLog {
             next_lsn: 1,
             flushed_lsn: 0,
             bytes_since_ckpt: 0,
+            rec: Vec::new(),
+            page: vec![0u8; page_size],
         };
         log.write_checkpoint(CheckpointMeta::default())?;
         Ok(log)
@@ -261,6 +267,8 @@ impl RedoLog {
             next_lsn,
             flushed_lsn: next_lsn - 1,
             bytes_since_ckpt: 0,
+            rec: Vec::new(),
+            page,
         };
         Ok((log, meta, records))
     }
@@ -294,15 +302,15 @@ impl RedoLog {
 
     /// Append a record (not yet durable).
     pub fn append(&mut self, lsn: u64, body: &RedoBody) -> Result<(), EngineError> {
-        let mut rec = Vec::with_capacity(64);
-        rec.extend_from_slice(&lsn.to_le_bytes());
-        body.encode(&mut rec);
-        assert!(rec.len() <= self.payload_cap(), "record exceeds log page payload");
-        if self.buf.len() + rec.len() > self.payload_cap() {
+        self.rec.clear();
+        self.rec.extend_from_slice(&lsn.to_le_bytes());
+        body.encode(&mut self.rec);
+        assert!(self.rec.len() <= self.payload_cap(), "record exceeds log page payload");
+        if self.buf.len() + self.rec.len() > self.payload_cap() {
             self.write_page(true)?;
         }
-        self.buf.extend_from_slice(&rec);
-        self.bytes_since_ckpt += rec.len() as u64;
+        self.buf.extend_from_slice(&self.rec);
+        self.bytes_since_ckpt += self.rec.len() as u64;
         Ok(())
     }
 
@@ -312,13 +320,16 @@ impl RedoLog {
                 "log device full — checkpoint was not taken in time".into(),
             ));
         }
-        let mut page = vec![0u8; self.page_size];
+        let used = self.buf.len();
+        let page = &mut self.page;
         page[0..4].copy_from_slice(&LOG_MAGIC.to_le_bytes());
-        page[8..10].copy_from_slice(&(self.buf.len() as u16).to_le_bytes());
-        page[PAGE_HDR..PAGE_HDR + self.buf.len()].copy_from_slice(&self.buf);
-        let crc = crc32c(&page[PAGE_HDR..PAGE_HDR + self.buf.len()]);
+        page[8..10].copy_from_slice(&(used as u16).to_le_bytes());
+        page[10..PAGE_HDR].fill(0);
+        page[PAGE_HDR..PAGE_HDR + used].copy_from_slice(&self.buf);
+        page[PAGE_HDR + used..].fill(0);
+        let crc = crc32c(&page[PAGE_HDR..PAGE_HDR + used]);
         page[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.dev.write(Lpn(self.cur_page), &page).map_err(EngineError::Device)?;
+        self.dev.write(Lpn(self.cur_page), page).map_err(EngineError::Device)?;
         if advance {
             self.cur_page += 1;
             self.buf.clear();
@@ -355,7 +366,8 @@ impl RedoLog {
         // Any straggling records must be durable before the header claims
         // the checkpoint LSN.
         self.flush()?;
-        let mut page = vec![0u8; self.page_size];
+        let page = &mut self.page;
+        page.fill(0);
         page[0..4].copy_from_slice(&HDR_MAGIC.to_le_bytes());
         page[8..16].copy_from_slice(&meta.ckpt_lsn.to_le_bytes());
         page[16..24].copy_from_slice(&meta.root.to_le_bytes());
@@ -363,7 +375,7 @@ impl RedoLog {
         page[32..40].copy_from_slice(&meta.next_page_no.to_le_bytes());
         let crc = crc32c(&page[8..48]);
         page[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.dev.write(Lpn(0), &page).map_err(EngineError::Device)?;
+        self.dev.write(Lpn(0), page).map_err(EngineError::Device)?;
         self.dev.flush().map_err(EngineError::Device)?;
         self.cur_page = 1;
         self.buf.clear();

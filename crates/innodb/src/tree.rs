@@ -8,12 +8,10 @@
 use crate::engine::InnoDb;
 use crate::error::EngineError;
 use crate::key::Key;
-use crate::page::{NodePage, ENTRY_OVERHEAD, NO_PAGE};
+use crate::page::{NodePage, CHILD_BYTES, ENTRY_OVERHEAD, NO_PAGE};
 use crate::redo::RedoBody;
 use share_core::BlockDevice;
 
-/// Internal-node entry payload: an 8-byte child pointer.
-const CHILD_BYTES: usize = 8;
 /// Cap on AppendEntries record payload so records fit a 4 KiB log page.
 const SPLIT_CHUNK_BYTES: usize = 3 * 1024;
 
@@ -100,12 +98,13 @@ impl<D: BlockDevice> InnoDb<D> {
                 Ok(i) | Err(i) => i,
             };
             let mut done = false;
-            for (k, v) in &p.entries[start..] {
-                if k >= hi {
+            for i in start..p.len() {
+                let k = p.key_at(i);
+                if k >= *hi {
                     done = true;
                     break;
                 }
-                out.push((*k, v.clone()));
+                out.push((k, p.value_at(i).to_vec()));
             }
             let next = p.next;
             if done || next == NO_PAGE {
@@ -120,9 +119,11 @@ impl<D: BlockDevice> InnoDb<D> {
         self.ensure_resident(node_no)?;
         let (pivot, high, old_next) = {
             let p = self.pool.get_mut(node_no).expect("resident");
-            debug_assert!(p.entries.len() >= 2, "splitting a node with <2 entries");
-            let mid = p.entries.len() / 2;
-            (p.entries[mid].0, p.entries[mid..].to_vec(), p.next)
+            debug_assert!(p.len() >= 2, "splitting a node with <2 entries");
+            let mid = p.len() / 2;
+            let high: Vec<(Key, Vec<u8>)> =
+                (mid..p.len()).map(|i| (p.key_at(i), p.value_at(i).to_vec())).collect();
+            (p.key_at(mid), high, p.next)
         };
         let new_no = self.alloc_page_no()?;
         self.apply(RedoBody::PageInit { page_no: new_no, level })?;
@@ -156,7 +157,7 @@ impl<D: BlockDevice> InnoDb<D> {
         self.ensure_resident(page_no)?;
         let page_bytes = self.config().page_bytes;
         let p = self.pool.get_mut(page_no).expect("resident");
-        Ok(p.would_overflow(vlen, page_bytes) && p.entries.len() >= 2)
+        Ok(p.would_overflow(vlen, page_bytes) && p.len() >= 2)
     }
 
     fn insert_rec(
@@ -554,6 +555,19 @@ mod tests {
         }
         // Every descent after the prefetch was served from the pool.
         assert!(e.pool_stats().hits > hits0, "prefetched reads should hit the pool");
+    }
+
+    #[test]
+    fn page_size_beyond_slot_range_is_a_config_error() {
+        let cfg = InnoDbConfig { page_bytes: 128 << 10, ..Default::default() };
+        let fcfg =
+            FtlConfig::for_capacity_with(24 << 20, 0.3, 4096, 32, nand_sim::NandTiming::zero());
+        let dev = Ftl::new(fcfg.clone());
+        let log = standard_log_device(dev.clock().clone());
+        assert!(matches!(InnoDb::create(dev, log, cfg.clone()), Err(EngineError::Config(_))));
+        let dev = Ftl::new(fcfg);
+        let log = standard_log_device(dev.clock().clone());
+        assert!(matches!(InnoDb::open(dev, log, cfg), Err(EngineError::Config(_))));
     }
 
     #[test]
